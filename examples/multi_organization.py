@@ -25,15 +25,15 @@ def main() -> None:
     org_of = {name: org for org, members in net.org_members.items() for name in members}
     cross_org = []
 
-    original_send = net.network.send
-
-    def audited_send(src, dst, message):
+    def audit(src, dst, message):
+        # Drop-filter seam: sees every copy of every send and fanout;
+        # returning False keeps the copy.
         if isinstance(message, (BlockPush, PushDigest, PushRequest)):
             if org_of.get(src) and org_of.get(dst) and org_of[src] != org_of[dst]:
                 cross_org.append((src, dst))
-        original_send(src, dst, message)
+        return False
 
-    net.network.send = audited_send
+    net.network.set_drop_filter(audit)
     net.start()
 
     transactions = synthetic_block_transactions(50, 3_200)

@@ -212,8 +212,9 @@ def build_network(
     if org_regions is not None:
         region_of = node_region_placement(org_members, org_regions, orderer_region)
         # The caller's config object is never mutated: the placement lands
-        # on a shallow copy (the latency model is shared — fresh builds
-        # should pass a fresh model, as the scenario runner does).
+        # on a shallow copy. The copy re-resolves a latency spec into a
+        # fresh model; a model instance is shared — fresh builds should
+        # pass a fresh model, as the scenario runner does.
         base_config = network_config or NetworkConfig()
         merged = dict(base_config.regions or {})
         merged.update(region_of)
@@ -221,7 +222,7 @@ def build_network(
         # Region-aware models receive the placement before the Network
         # binds its samplers (the bound closures resolve pairs lazily, but
         # assigning first keeps the model fully initialized up front).
-        assign = getattr(network_config.latency_model, "assign_regions", None)
+        assign = getattr(network_config.resolved_latency, "assign_regions", None)
         if assign is not None:
             assign(region_of)
 

@@ -155,15 +155,14 @@ class Peer(Process):
     # ----- GossipHost protocol ---------------------------------------------
 
     def send(self, dst: str, message: Message) -> None:
-        # network.send is deliberately NOT pre-bound: integration tests
-        # wrap it by assignment and must observe gossip traffic.
+        # network.send is looked up per call, not pre-bound, so a wrapper
+        # installed on the network later still observes direct sends.
         if self._alive:
             self.network.send(self.name, dst, message)
 
     def multicast(self, dsts: List[str], message: Message) -> None:
-        # The gossip fanout fast path; semantically a per-dst send loop
-        # (network.multicast routes through a wrapped ``send`` itself, so
-        # instrumented tests keep observing fanout traffic).
+        # The gossip fanout path; semantically a per-dst send loop (to
+        # observe every copy, install a network drop filter that keeps it).
         if self._alive:
             self.network.multicast(self.name, dsts, message)
 

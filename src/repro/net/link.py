@@ -59,15 +59,17 @@ class CoDelConfig:
     ramp: float = 8.0
 
     def __post_init__(self) -> None:
-        if self.target <= 0.0:
+        # Comparisons are written so that NaN fails them; infinity stays
+        # legal (an infinite target or interval never arms the AQM).
+        if not self.target > 0.0:
             raise ValueError(f"CoDel target must be > 0, got {self.target}")
-        if self.interval <= 0.0:
+        if not self.interval > 0.0:
             raise ValueError(f"CoDel interval must be > 0, got {self.interval}")
         if not 0.0 < self.max_drop_probability <= 1.0:
             raise ValueError(
                 f"CoDel max_drop_probability must be in (0, 1], got {self.max_drop_probability}"
             )
-        if self.ramp < 1.0:
+        if not self.ramp >= 1.0:
             raise ValueError(f"CoDel ramp must be >= 1, got {self.ramp}")
 
 
@@ -89,9 +91,11 @@ class LinkModel:
     codel: Optional[CoDelConfig] = None
 
     def __post_init__(self) -> None:
-        if self.bandwidth <= 0.0:
+        # NaN fails both comparisons; infinity means "no bottleneck" and
+        # "unbounded queue" respectively.
+        if not self.bandwidth > 0.0:
             raise ValueError(f"link bandwidth must be > 0, got {self.bandwidth}")
-        if self.queue_bytes <= 0.0:
+        if not self.queue_bytes > 0.0:
             raise ValueError(f"link queue_bytes must be > 0, got {self.queue_bytes}")
         if self.codel is not None and not isinstance(self.codel, CoDelConfig):
             raise TypeError(f"codel must be a CoDelConfig, got {type(self.codel).__name__}")

@@ -13,41 +13,35 @@ Delivery time of a message from A to B decomposes as:
 Nodes register a handler; the fault layer can additionally drop messages or
 disconnect nodes. All traffic is accounted in the :class:`TrafficMonitor`.
 
-``send`` is the single hottest function of the whole simulator (every
-gossip message passes through it two or three times as scheduled events),
-so the config, latency sampler and monitor lookups are hoisted into bound
-attributes at construction time and events are scheduled through the
-engine's handle-free :meth:`~repro.simulation.engine.Simulator.schedule_call`
-fast path.
+Three entry points, one kernel
+------------------------------
 
-Fanout API — ``send`` vs ``multicast`` vs ``send_aggregate``
-------------------------------------------------------------
+:meth:`Network.send` (one copy), :meth:`Network.multicast` (one shared
+message instance to many destinations) and :meth:`Network.send_aggregate`
+(an approximated background batch) validate their arguments and hand the
+copies to one private kernel, :meth:`Network._transmit`. For every copy it
+runs, in order: drop check, monitor record, uplink reservation, bottleneck
+link admission, latency draw, then local scheduling or — in sharded mode —
+the egress queue. Deliveries travel as plain records through the public
+:meth:`~repro.simulation.engine.Simulator.schedule_call` and
+:meth:`~repro.simulation.engine.Simulator.schedule_records`.
 
-Three entry points move a message, trading event cost against modelled
-detail (see ``docs/networking.md`` for the full decision guide):
-
-* :meth:`Network.send` — one copy to one destination, full physics.
-* :meth:`Network.multicast` — one shared message instance to many
-  destinations with **per-destination physics identical to a ``send``
-  loop**: same drop/disconnect filtering, same per-copy uplink
-  reservation and latency draw (in destination order — the RNG-order
-  contract), same delivery times, byte-for-byte identical monitor
-  accounting. It is purely a mechanical fast path: vectorized recording,
-  batch latency sampling, pooled delivery records, and consecutive
-  same-time arrivals coalesced into shared slot-delivery events. Every
-  gossip fanout goes through it.
-* :meth:`Network.send_aggregate` — one *approximated* batch: a single
-  latency draw and a single shared arrival for the whole fanout, no
-  receiver downlink queueing. Reserved for calibrated background traffic
-  where only the byte accounting matters.
+The kernel picks its mode from fault state it can already observe. With no
+drop filter and no disconnected node nothing foreign runs inside the loop,
+so a fanout is recorded by one vectorized monitor call, draws its latencies
+from the batch sampler and coalesces exact-tie deliveries into shared
+events. Otherwise every copy is checked, recorded, drawn and scheduled
+before the next one, so a drop filter that mutates fault state mid-fanout
+sees exactly what a ``send`` loop would. Both modes produce the same
+deliveries, RNG positions and monitor totals as the per-copy loop (see
+``docs/networking.md``). ``send_aggregate`` is the one-burst case: one link
+admission, one latency draw and one delivery event for the whole fanout.
 """
 
 from __future__ import annotations
 
 import sys
-import warnings
-from dataclasses import dataclass
-from heapq import heappush as _heappush
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.net.latency import LanLatency, LatencyModel
@@ -62,16 +56,6 @@ from repro.simulation.random import RandomStreams
 Handler = Callable[[str, Message], None]
 
 GIGABIT_PER_SECOND_BYTES = 125_000_000  # 1 Gbps full duplex, per direction
-
-# Free-list bound for pooled multicast delivery records (same spirit as the
-# engine's entry pool): steady-state dissemination cycles a few dozen
-# records; the cap only matters after pathological bursts.
-_RECORD_POOL_MAX = 4096
-
-# One DeprecationWarning per process for the latency_model= construction
-# path; dataclasses.replace re-runs __post_init__ on every copy, and a
-# config replicated across shard workers must not spam the log.
-_warned_latency_model = False
 
 
 @dataclass
@@ -100,11 +84,11 @@ class NetworkConfig:
             topologies). Region-aware latency models consult it; the fault
             layer uses it to resolve region-level partition/degrade events.
             ``build_network`` fills it from the organization placement.
-        latency_model: deprecated constructor alias for ``latency``
-            (model-instance form). After construction this attribute
-            always holds the *resolved* model instance — existing readers
-            keep working — but passing it is deprecated; pass ``latency``
-            (ideally a spec) instead.
+        resolved_latency: the :class:`LatencyModel` that ``latency``
+            resolves to (not a constructor argument). A model instance is
+            used as is; a spec or ``None`` resolves to a fresh model on
+            construction, so ``dataclasses.replace`` of a spec-configured
+            config yields a fresh, region-unassigned model.
     """
 
     bandwidth: float = float(GIGABIT_PER_SECOND_BYTES)
@@ -114,34 +98,18 @@ class NetworkConfig:
     downlink_queue_min_bytes: int = 25_000
     regions: Optional[Dict[str, str]] = None
     link: Optional[LinkModel] = None
-    latency_model: Optional[LatencyModel] = None
+    resolved_latency: LatencyModel = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.link is not None and not isinstance(self.link, LinkModel):
             raise TypeError(f"link must be a LinkModel, got {type(self.link).__name__}")
-        if self.latency_model is not None:
-            # Deprecated path — or a dataclasses.replace of an already
-            # resolved config, which carries both fields. In either case
-            # the instance wins: replace() must preserve a model whose
-            # assign_regions state was mutated after resolution.
-            if self.latency is None:
-                global _warned_latency_model
-                if not _warned_latency_model:
-                    _warned_latency_model = True
-                    warnings.warn(
-                        "NetworkConfig(latency_model=...) is deprecated; pass "
-                        "latency=<LatencySpec> (or a LatencyModel) instead",
-                        DeprecationWarning,
-                        stacklevel=3,
-                    )
-            return
         latency = self.latency
         if latency is None:
-            self.latency_model = LanLatency()
+            self.resolved_latency = LanLatency()
         elif isinstance(latency, LatencySpec):
-            self.latency_model = LatencyModel.from_spec(latency)
+            self.resolved_latency = LatencyModel.from_spec(latency)
         elif isinstance(latency, LatencyModel):
-            self.latency_model = latency
+            self.resolved_latency = latency
         else:
             raise TypeError(
                 f"latency must be a LatencySpec or LatencyModel, got {type(latency).__name__}"
@@ -156,8 +124,6 @@ class Network:
     topology restriction; access control lives in the protocol layer.
     """
 
-    # No __slots__: integration tests wrap ``send`` by assignment.
-
     def __init__(
         self,
         sim: Simulator,
@@ -166,8 +132,9 @@ class Network:
     ) -> None:
         self.sim = sim
         self.config = config or NetworkConfig()
-        if self.config.bandwidth <= 0:
-            raise ValueError("bandwidth must be positive")
+        bandwidth = self.config.bandwidth
+        if not bandwidth > 0:  # also rejects NaN
+            raise ValueError(f"bandwidth must be positive, got {bandwidth}")
         self._streams = streams
         self._handlers: Dict[str, Handler] = {}
         self._uplink_free_at: Dict[str, float] = {}
@@ -183,7 +150,7 @@ class Network:
         self._drop_filter: Optional[Callable[[str, str, Message], bool]] = None
         # Hot-path hoists: one attribute lookup at construction instead of
         # several per message.
-        self._bandwidth = self.config.bandwidth
+        self._bandwidth = bandwidth
         self._overhead = self.config.envelope_overhead
         self._queue_min = self.config.downlink_queue_min_bytes
         # Latency draws come from a *per-source* stream
@@ -193,17 +160,16 @@ class Network:
         # order, never on how other nodes' events interleave with it, so a
         # shard that executes a subset of the nodes consumes each stream
         # exactly as the single-process run does (see docs/sharding.md).
-        self._latency_model = self.config.latency_model
+        self._latency_model = self.config.resolved_latency
         self._send_samplers: Dict[str, Callable[[str, str], float]] = {}
         self._batch_samplers: Dict[str, Callable] = {}
         self._record = self.monitor.record
         self._record_multicast = self.monitor.record_multicast
         # Bottleneck-link physics (repro.net.link). A no-op link (infinite
-        # bandwidth) is disarmed outright so the link-free hot paths —
-        # including the vectorized multicast fast path, which a live link
-        # must avoid because copies can drop — run exactly as before;
-        # that, plus the kernel's zero-RNG guarantee, is what keeps
-        # pre-link goldens bit-for-bit identical (docs/networking.md).
+        # bandwidth) is disarmed outright so the link-free kernel runs
+        # exactly as before; that, plus the link kernel's zero-RNG
+        # guarantee, is what keeps pre-link goldens bit-for-bit identical
+        # (docs/networking.md).
         link = self.config.link
         if link is not None and link.is_noop:
             link = None
@@ -232,12 +198,6 @@ class Network:
         # owning shard injects them at the next window barrier.
         self._shard_owned: Optional[frozenset] = None
         self._shard_egress: Optional[list] = None
-        # Free lists for multicast delivery/arrival records. Each record's
-        # last slot is the record itself, so the engine's ``callback(*rec)``
-        # hands the callback its own record to reclaim — zero allocations
-        # per recipient in steady state.
-        self._deliver_pool: list = []
-        self._arrive_pool: list = []
 
     def register(self, name: str, handler: Handler) -> None:
         """Attach a process; ``handler(src, message)`` is called on delivery."""
@@ -372,16 +332,17 @@ class Network:
         that order assigns consecutive sequence numbers, which fixes the
         relative order of same-time injected events deterministically.
         """
-        sim = self.sim
+        schedule_call = self.sim.schedule_call
         for rec in records:
             if rec[0] == "d":
-                sim.schedule_call(rec[1], self._deliver, (rec[2], rec[3], rec[4]))
+                schedule_call(rec[1], self._deliver_copies, [rec[1], rec[2], rec[4], rec[3], 0.0])
             else:
-                sim.schedule_call(rec[1], self._arrive, (rec[2], rec[3], rec[4], rec[5]))
+                schedule_call(rec[1], self._arrive_copies, [rec[1], rec[2], rec[4], rec[3], rec[5]])
 
     def wire_size(self, message: Message) -> int:
         """Bytes on the wire: payload plus fixed envelope."""
         return message.payload_size() + self._overhead
+
 
     def send(self, src: str, dst: str, message: Message) -> None:
         """Send ``message`` from ``src`` to ``dst``.
@@ -396,100 +357,16 @@ class Network:
             raise ValueError(f"{src!r} attempted to send a message to itself")
         if src not in self._handlers:
             raise ValueError(f"unknown source node {src!r}")
-        size = message.payload_size() + self._overhead
-        if self._n_disconnected:
-            disconnected = self._disconnected
-            if disconnected.get(src) or disconnected.get(dst):
-                self.dropped_messages += 1
-                return
-        if self._drop_filter is not None and self._drop_filter(src, dst, message):
-            self.dropped_messages += 1
-            return
-        sim = self.sim
-        now = sim._now  # friend access: skips the property call per message
-        # The monitor accounts the message at send time: utilization plots
-        # reflect when bytes enter the network, as a host-side counter would.
-        self._record(now, src, dst, message.kind, size)
-        transfer = size / self._bandwidth
-        uplink_free_at = self._uplink_free_at
-        free_at = uplink_free_at.get(src, 0.0)
-        uplink_done = (free_at if free_at > now else now) + transfer
-        uplink_free_at[src] = uplink_done
-        if self._link is not None:
-            # Bottleneck link after the NIC: serialization at link
-            # bandwidth plus bounded-queue residency; a dropped copy
-            # consumed its queue draw (if any) but takes no latency draw.
-            uplink_done = self._link_admit(src, size, uplink_done)
-            if uplink_done < 0.0:
-                self.dropped_messages += 1
-                return
-        sample = self._send_samplers.get(src)
-        if sample is None:
-            sample = self._bind_latency(src)
-        arrival = uplink_done + sample(src, dst)
-        owned = self._shard_owned
-        if owned is not None and dst not in owned:
-            # Cross-shard: the full send-side physics (monitor record,
-            # uplink reservation, latency draw) happened above exactly as
-            # in a local send; the delivery itself is the destination
-            # shard's job. Two-phase copies hand over at their physical
-            # arrival so the receiver's downlink is reserved in merged
-            # arrival order on the owner shard.
-            if size < self._queue_min:
-                self._shard_egress.append(("d", arrival + transfer, src, dst, message))
-            else:
-                self._shard_egress.append(("a", arrival, src, dst, message, transfer))
-            return
-        if size < self._queue_min:
-            # Single-phase delivery through a pooled record, with the heap
-            # push inlined (friend access, same pattern as the multicast
-            # loop): no scheduling call frame and no argument-tuple
-            # allocation on the hottest function of the simulator.
-            pool = self._deliver_pool
-            if pool:
-                rec = pool.pop()
-                rec[0] = arrival + transfer
-                rec[1] = src
-                rec[2] = message
-                rec[3] = dst
-            else:
-                rec = [arrival + transfer, src, message, dst, None]
-                rec[4] = rec
-            if not rec[0] >= now:
-                self._deliver_pool.append(rec)
-                sim._reject_time(rec[0])
-            entry_pool = sim._pool
-            if entry_pool:
-                entry = entry_pool.pop()
-                entry[0] = rec[0]
-                entry[1] = sim._seq
-                entry[2] = self._deliver_multicast
-                entry[3] = rec
-                entry[4] = None
-            else:
-                entry = [rec[0], sim._seq, self._deliver_multicast, rec, None]
-            sim._seq += 1
-            sim._live += 1
-            heap = sim._heap
-            _heappush(heap, entry)
-            if len(heap) > sim._peak_heap:
-                sim._peak_heap = len(heap)
-            return
-        # Receive-side queueing must be resolved in ARRIVAL order, not send
-        # order: an early-sent message on a slow (WAN) path must not
-        # reserve the receiver's downlink ahead of later-sent messages on
-        # fast paths. Large messages therefore take a two-phase schedule.
-        sim.schedule_call(arrival, self._arrive, (src, dst, message, transfer))
+        self._transmit(src, (dst,), message)
 
     def multicast(self, src: str, dsts: Sequence[str], message: Message) -> None:
         """Send one shared ``message`` instance from ``src`` to every
         destination in ``dsts``, with per-destination physics identical to
         calling :meth:`send` once per destination in order.
 
-        This is the gossip-fanout fast path. The equivalence contract is
-        exact — the property suite replays random fanouts against a naive
-        ``send`` loop and asserts the same (time, dst, message) delivery
-        sequence:
+        The equivalence is exact — the property suite replays random
+        fanouts against an independent per-copy oracle and asserts the
+        same (time, dst, message) delivery sequence:
 
         * drop rules (disconnected source/destination, drop filters) apply
           per copy, in destination order, before that copy is recorded;
@@ -500,14 +377,8 @@ class Network:
         * large copies take the same two-phase arrival/downlink schedule
           as :meth:`send`, per destination.
 
-        What changes is purely mechanical cost: traffic is recorded
-        through one vectorized :meth:`TrafficMonitor.record_multicast`
-        call, latencies come from the model's batch sampler, deliveries
-        are scheduled through pooled records in one engine call, and
-        consecutive copies whose computed delivery times tie exactly
-        coalesce into one shared slot-delivery event (sharing is safe
-        precisely because their sequence numbers are consecutive, so no
-        foreign event can order between them).
+        Every gossip fanout goes through it; see :meth:`_transmit` for
+        what the kernel batches when no fault state is installed.
         """
         if src not in self._handlers:
             raise ValueError(f"unknown source node {src!r}")
@@ -515,253 +386,14 @@ class Network:
         for dst in dsts:
             if dst == src:
                 raise ValueError(f"{src!r} attempted to send a message to itself")
-        if "send" in self.__dict__ or self._shard_owned is not None:
-            # ``send`` was wrapped by instance assignment (integration-test
-            # instrumentation), or the network runs in sharded mode: route
-            # every copy through ``send`` so the wrapper observes the
-            # fanout / foreign copies land on the egress queue. The
-            # per-copy loop is the definitional semantics of multicast, so
-            # physics and monitor accounting stay byte-identical.
-            send = self.send
-            for dst in dsts:
-                send(src, dst, message)
-            return
-        n = len(dsts)
-        if n == 0:
-            return
-        if n == 1:
-            self.send(src, dsts[0], message)
-            return
-        if self._n_disconnected or self._drop_filter is not None or self._link is not None:
-            # A live link can drop copies and interleaves a queue draw
-            # before each latency draw, so it needs the per-copy loop too.
-            self._multicast_guarded(src, dsts, message)
-            return
-        # Steady-state fast path: no fault machinery installed, so no copy
-        # can drop and the per-copy bookkeeping vectorizes.
-        size = message.payload_size() + self._overhead
-        sim = self.sim
-        now = sim._now
-        self._record_multicast(now, src, dsts, message.kind, size)
-        transfer = size / self._bandwidth
-        uplink_free_at = self._uplink_free_at
-        free_at = uplink_free_at.get(src, 0.0)
-        uplink_done = free_at if free_at > now else now
-        sample_batch = self._batch_samplers.get(src)
-        if sample_batch is None:
-            self._bind_latency(src)
-            sample_batch = self._batch_samplers[src]
-        latencies = sample_batch(src, dsts)
-        two_phase = size >= self._queue_min
-        if two_phase:
-            pool = self._arrive_pool
-            callback = self._arrive_multicast
-        else:
-            pool = self._deliver_pool
-            callback = self._deliver_multicast
-        # Scheduling is inlined (friend access to the engine's entry pool
-        # and heap, same pattern as ``sim._now``): one pooled record and
-        # one pooled heap entry per surviving copy, pushed in destination
-        # order with consecutive sequence numbers, no per-copy call frame.
-        entry_pool = sim._pool
-        heap = sim._heap
-        seq = sim._seq
-        previous_time = -1.0
-        previous_rec: Optional[list] = None
-        index = 0
-        for dst in dsts:
-            uplink_done += transfer
-            arrival = uplink_done + latencies[index]
-            index += 1
-            event_time = arrival if two_phase else arrival + transfer
-            if not event_time >= now:
-                # Negative or NaN latency from a broken model: fail loudly
-                # like schedule_call would, with the counters consistent.
-                sim._live += seq - sim._seq
-                sim._seq = seq
-                sim._reject_time(event_time)
-            if event_time == previous_time:
-                # Exact tie with the immediately preceding copy: fold into
-                # its (already scheduled) record, keeping destination
-                # (= sequence) order. Heap ordering is untouched — only
-                # the record's target slot mutates.
-                target = previous_rec[3]
-                if target.__class__ is list:
-                    target.append(dst)
-                else:
-                    previous_rec[3] = [target, dst]
-                continue
-            if pool:
-                rec = pool.pop()
-                rec[0] = event_time
-                rec[1] = src
-                rec[2] = message
-                rec[3] = dst
-            elif two_phase:
-                rec = [event_time, src, message, dst, transfer, None]
-                rec[5] = rec
-            else:
-                rec = [event_time, src, message, dst, None]
-                rec[4] = rec
-            if two_phase:
-                rec[4] = transfer
-            if entry_pool:
-                entry = entry_pool.pop()
-                entry[0] = event_time
-                entry[1] = seq
-                entry[2] = callback
-                entry[3] = rec
-                entry[4] = None
-            else:
-                entry = [event_time, seq, callback, rec, None]
-            seq += 1
-            _heappush(heap, entry)
-            previous_time = event_time
-            previous_rec = rec
-        uplink_free_at[src] = uplink_done
-        sim._live += seq - sim._seq
-        sim._seq = seq
-        if len(heap) > sim._peak_heap:
-            sim._peak_heap = len(heap)
-
-    def _multicast_guarded(self, src: str, dsts: Sequence[str], message: Message) -> None:
-        """Multicast with fault machinery active: the exact per-copy loop.
-
-        Checks, monitor records, uplink reservations and latency draws
-        interleave per destination precisely as the naive ``send`` loop
-        would, so re-entrant fault mutations — e.g. a drop filter that
-        disconnects the source or swaps itself mid-fanout — observe and
-        produce identical state. The filter and disconnect set are
-        re-read per copy for exactly that reason.
-        """
-        size = message.payload_size() + self._overhead
-        kind = message.kind
-        sim = self.sim
-        record = self._record
-        sample = self._send_samplers.get(src)
-        if sample is None:
-            sample = self._bind_latency(src)
-        transfer = size / self._bandwidth
-        queue_min = self._queue_min
-        uplink_free_at = self._uplink_free_at
-        link_armed = self._link is not None
-        for dst in dsts:
-            if self._n_disconnected:
-                disconnected = self._disconnected
-                if disconnected.get(src) or disconnected.get(dst):
-                    self.dropped_messages += 1
-                    continue
-            drop_filter = self._drop_filter
-            if drop_filter is not None and drop_filter(src, dst, message):
-                self.dropped_messages += 1
-                continue
-            now = sim._now
-            record(now, src, dst, kind, size)
-            free_at = uplink_free_at.get(src, 0.0)
-            uplink_done = (free_at if free_at > now else now) + transfer
-            uplink_free_at[src] = uplink_done
-            if link_armed:
-                # Same order as send(): queue draw (if CoDel is dropping)
-                # before the latency draw; a dropped copy takes neither
-                # the latency draw nor a delivery event.
-                uplink_done = self._link_admit(src, size, uplink_done)
-                if uplink_done < 0.0:
-                    self.dropped_messages += 1
-                    continue
-            arrival = uplink_done + sample(src, dst)
-            if size < queue_min:
-                sim.schedule_call(arrival + transfer, self._deliver, (src, dst, message))
-            else:
-                sim.schedule_call(arrival, self._arrive, (src, dst, message, transfer))
-
-    def _deliver_multicast(self, time: float, src: str, message: Message, target, rec: list) -> None:
-        # Reclaim the pooled record first (locals hold everything needed).
-        # Only the message slot is cleared: a parked record must not pin a
-        # 160 KB block, while node-name strings are interned and live for
-        # the whole run anyway.
-        rec[2] = None
-        pool = self._deliver_pool
-        if len(pool) < _RECORD_POOL_MAX:
-            pool.append(rec)
-        handlers = self._handlers
-        if target.__class__ is list:
-            for dst in target:
-                # Disconnect state is re-read per copy: a handler earlier
-                # in the group may disconnect a later recipient, and the
-                # per-copy send loop this path must match would drop that
-                # copy at its own delivery event.
-                if self._n_disconnected and self._disconnected.get(dst):
-                    self.dropped_messages += 1
-                    continue
-                handler = handlers.get(dst)
-                if handler is None:
-                    self.dropped_messages += 1
-                    continue
-                handler(src, message)
-            return
-        if self._n_disconnected and self._disconnected.get(target):
-            self.dropped_messages += 1
-            return
-        handler = handlers.get(target)
-        if handler is None:
-            self.dropped_messages += 1
-            return
-        handler(src, message)
-
-    def _arrive_multicast(
-        self, time: float, src: str, message: Message, target, transfer: float, rec: list
-    ) -> None:
-        """Phase two of a large-copy multicast: grant receiver downlinks.
-
-        Runs at the copies' (shared or singleton) physical arrival time and
-        reserves each destination's downlink in destination order — exactly
-        the reservations the per-copy :meth:`_arrive` events would make,
-        since tied arrivals carry consecutive sequence numbers. Deliveries
-        are then re-scheduled through the pooled single-phase records,
-        re-grouping any delivery-time ties.
-        """
-        rec[2] = None
-        pool = self._arrive_pool
-        if len(pool) < _RECORD_POOL_MAX:
-            pool.append(rec)
-        now = self.sim._now
-        downlink_free_at = self._downlink_free_at
-        deliver_pool = self._deliver_pool
-        if target.__class__ is not list:
-            target = (target,)
-        records: list = []
-        previous_time = -1.0
-        previous_rec: Optional[list] = None
-        for dst in target:
-            free_at = downlink_free_at.get(dst, 0.0)
-            delivered = (free_at if free_at > now else now) + transfer
-            downlink_free_at[dst] = delivered
-            if delivered == previous_time:
-                grouped = previous_rec[3]
-                if grouped.__class__ is list:
-                    grouped.append(dst)
-                else:
-                    previous_rec[3] = [grouped, dst]
-                continue
-            if deliver_pool:
-                out = deliver_pool.pop()
-                out[0] = delivered
-                out[1] = src
-                out[2] = message
-                out[3] = dst
-            else:
-                out = [delivered, src, message, dst, None]
-                out[4] = out
-            records.append(out)
-            previous_time = delivered
-            previous_rec = out
-        self.sim.schedule_records(self._deliver_multicast, records)
+        if len(dsts):
+            self._transmit(src, dsts, message)
 
     def send_aggregate(self, src: str, dsts: Sequence[str], message: Message) -> None:
         """Send one identical metadata message to each destination as a
         single simulator event.
 
-        The aggregated-background fast path: a periodic emitter's fanout of
+        The aggregated-background path: a periodic emitter's fanout of
         ``MembershipAlive`` copies coalesces into one scheduled delivery
         instead of one or two events per copy. Semantics relative to
         per-copy :meth:`send`:
@@ -773,6 +405,9 @@ class Network:
           bytes of the fanout, like the per-copy sends would;
         * drop rules (disconnected source/destination, drop filters) apply
           per copy, before anything is recorded;
+        * the fanout crosses a bottleneck link as one burst: one admission
+          (one queue draw at most) for its total bytes, and a link drop
+          loses the whole batch;
         * one propagation latency is drawn for the whole batch and the
           copies are delivered together one transfer after arrival —
           per-destination latency spread is dropped;
@@ -797,115 +432,205 @@ class Network:
         for dst in dsts:
             if dst == src:
                 raise ValueError(f"{src!r} attempted to send a message to itself")
+        if len(dsts):
+            self._transmit(src, dsts, message, burst=True)
+
+    def _drops(self, src: str, dst: str, message: Message) -> bool:
+        """The per-copy drop check: count and report a copy that a
+        disconnected endpoint or the drop filter discards. Fault state is
+        re-read on every call — the filter may mutate it."""
+        if self._n_disconnected:
+            disconnected = self._disconnected
+            if disconnected.get(src) or disconnected.get(dst):
+                self.dropped_messages += 1
+                return True
+        drop_filter = self._drop_filter
+        if drop_filter is not None and drop_filter(src, dst, message):
+            self.dropped_messages += 1
+            return True
+        return False
+
+    def _transmit(
+        self, src: str, dsts: Sequence[str], message: Message, burst: bool = False
+    ) -> None:
+        """The per-copy delivery kernel behind every entry point.
+
+        Each copy runs, in order: drop check, monitor record, uplink
+        reservation, bottleneck-link admission (:meth:`_link_admit`, whose
+        queue draw precedes the latency draw; a dropped copy takes no
+        latency draw), latency draw, then local scheduling or shard egress.
+        Single-phase copies are delivered one transfer after arrival;
+        copies of at least ``downlink_queue_min_bytes`` are handed to
+        :meth:`_arrive_copies` at arrival so receiver downlinks are
+        reserved in arrival order.
+
+        The mode follows from observable fault state:
+
+        * **guarded** (a drop filter or a disconnected node exists): the
+          filter is foreign code that may mutate fault state or schedule
+          events, so each copy is checked, recorded, drawn and scheduled
+          before the next one is looked at;
+        * **batched** (no fault state, more than one copy): nothing foreign
+          runs inside the loop, so the fanout is recorded by one vectorized
+          monitor call, draws its latencies from the batch sampler (unless
+          a live link can drop copies, which then draw one by one) and
+          coalesces consecutive exact-tie deliveries into one event — safe
+          because their sequence numbers are consecutive, so no other event
+          can order between them;
+        * **burst** (``send_aggregate``): drop checks per destination, then
+          the survivors travel as one copy of their total size — one
+          admission, one latency draw (for the first survivor), one event.
+        """
         size = message.payload_size() + self._overhead
-        if self._n_disconnected == 0 and self._drop_filter is None:
-            # Steady state: no fault machinery installed, nothing can drop
-            # — every destination is a recipient (copied: the scheduled
-            # delivery must not alias a caller-owned list).
-            recipients = list(dsts)
-            if not recipients:
-                return
-        else:
-            if self._disconnected.get(src):
-                self.dropped_messages += len(dsts)
-                return
-            recipients = []
-            for dst in dsts:
-                if self._n_disconnected:
-                    disconnected = self._disconnected
-                    if disconnected.get(src) or disconnected.get(dst):
-                        self.dropped_messages += 1
-                        continue
-                drop_filter = self._drop_filter
-                if drop_filter is not None and drop_filter(src, dst, message):
-                    self.dropped_messages += 1
-                    continue
-                recipients.append(dst)
-            if not recipients:
-                return
-        sim = self.sim
-        now = sim._now
-        self._record_multicast(now, src, recipients, message.kind, size)
+        kind = message.kind
         transfer = size / self._bandwidth
-        uplink_free_at = self._uplink_free_at
-        free_at = uplink_free_at.get(src, 0.0)
-        uplink_done = (free_at if free_at > now else now) + transfer * len(recipients)
-        uplink_free_at[src] = uplink_done
-        if self._link is not None:
-            # The aggregate is one batched emission, so it crosses the
-            # bottleneck as one burst: a single admission (one queue draw
-            # at most) for the fanout's total bytes, and a drop loses the
-            # whole batch — mirroring the single shared latency draw.
-            uplink_done = self._link_admit(src, size * len(recipients), uplink_done)
-            if uplink_done < 0.0:
-                self.dropped_messages += len(recipients)
+        now = self.sim.now
+        guarded = self._n_disconnected > 0 or self._drop_filter is not None
+        width = 1
+        latencies: Optional[List[float]] = None
+        if burst:
+            if guarded:
+                recipients = [dst for dst in dsts if not self._drops(src, dst, message)]
+            else:
+                recipients = list(dsts)  # the event must not alias the caller's list
+            if not recipients:
                 return
-        sample = self._send_samplers.get(src)
-        if sample is None:
-            sample = self._bind_latency(src)
-        arrival = uplink_done + sample(src, recipients[0]) + transfer
-        if not arrival >= now:
-            sim._reject_time(arrival)
-        owned = self._shard_owned
-        if owned is not None:
-            # Sharded mode: foreign recipients leave as single-phase
-            # records at the shared arrival (the aggregated path models no
-            # downlink queueing); local recipients keep the one batched
-            # delivery event.
-            local = [dst for dst in recipients if dst in owned]
-            egress = self._shard_egress
-            for dst in recipients:
-                if dst not in owned:
-                    egress.append(("d", arrival, src, dst, message))
-            if not local:
-                return
-            recipients = local
-        # Inlined heap push (friend access), as in send()/multicast():
-        # the background emitters call this once per period per peer.
-        entry_pool = sim._pool
-        if entry_pool:
-            entry = entry_pool.pop()
-            entry[0] = arrival
-            entry[1] = sim._seq
-            entry[2] = self._deliver_aggregate
-            entry[3] = (src, recipients, message)
-            entry[4] = None
+            self._record_multicast(now, src, recipients, kind, size)
+            width = len(recipients)
+            dsts = recipients[:1]
+            per_copy = batched = False
         else:
-            entry = [arrival, sim._seq, self._deliver_aggregate, (src, recipients, message), None]
-        sim._seq += 1
-        sim._live += 1
-        heap = sim._heap
-        _heappush(heap, entry)
-        if len(heap) > sim._peak_heap:
-            sim._peak_heap = len(heap)
-
-    def _deliver_aggregate(self, src: str, recipients: list, message: Message) -> None:
-        handlers = self._handlers
-        for dst in recipients:
-            # Re-read per copy: a handler may disconnect a later recipient
-            # of the same batch (see _deliver_multicast).
-            if self._n_disconnected and self._disconnected.get(dst):
-                self.dropped_messages += 1
+            batched = not guarded and len(dsts) > 1
+            per_copy = not batched
+            if batched:
+                self._record_multicast(now, src, dsts, kind, size)
+        sample = self._send_samplers.get(src)
+        if batched and self._link is None:
+            if sample is None:
+                sample = self._bind_latency(src)
+            latencies = self._batch_samplers[src](src, dsts)
+        two_phase = not burst and size >= self._queue_min
+        callback = self._arrive_copies if two_phase else self._deliver_copies
+        uplink_transfer = transfer * width
+        wire_bytes = size * width
+        link = self._link
+        uplink_free_at = self._uplink_free_at
+        owned = self._shard_owned
+        schedule_call = self.sim.schedule_call
+        records: List[list] = []
+        previous_time = -1.0
+        previous_rec: Optional[list] = None
+        for index, dst in enumerate(dsts):
+            if per_copy:
+                if guarded and self._drops(src, dst, message):
+                    continue
+                # The monitor accounts the copy at send time: utilization
+                # plots reflect when bytes enter the network.
+                self._record(now, src, dst, kind, size)
+            free_at = uplink_free_at.get(src, 0.0)
+            done = (free_at if free_at > now else now) + uplink_transfer
+            uplink_free_at[src] = done
+            if link is not None:
+                done = self._link_admit(src, wire_bytes, done)
+                if done < 0.0:
+                    self.dropped_messages += width
+                    continue
+            if latencies is not None:
+                arrival = done + latencies[index]
+            else:
+                if sample is None:
+                    sample = self._bind_latency(src)
+                arrival = done + sample(src, dst)
+            time = arrival if two_phase else arrival + transfer
+            target = recipients if burst else dst
+            if owned is not None:
+                # Sharded mode: the send-side physics above ran exactly as
+                # for a local copy; delivery is the owner shard's job.
+                # Two-phase copies hand over at their physical arrival so
+                # the receiver's downlink is reserved in merged order.
+                if burst:
+                    target = [each for each in recipients if each in owned]
+                    for each in recipients:
+                        if each not in owned:
+                            self._shard_egress.append(("d", time, src, each, message))
+                    if not target:
+                        continue
+                elif dst not in owned:
+                    if two_phase:
+                        self._shard_egress.append(("a", time, src, dst, message, transfer))
+                    else:
+                        self._shard_egress.append(("d", time, src, dst, message))
+                    continue
+            if batched and time == previous_time:
+                # Exact tie with the immediately preceding copy: fold into
+                # its record, keeping destination (= sequence) order.
+                group = previous_rec[3]
+                if group.__class__ is list:
+                    group.append(dst)
+                else:
+                    previous_rec[3] = [group, dst]
                 continue
-            handler = handlers.get(dst)
-            if handler is None:
-                self.dropped_messages += 1
-                continue
-            handler(src, message)
+            # The record is the event's argument list; ties mutate its
+            # target slot.
+            rec = [time, src, message, target, transfer]
+            if batched:
+                records.append(rec)
+                previous_time = time
+                previous_rec = rec
+            else:
+                schedule_call(time, callback, rec)
+        if records:
+            self.sim.schedule_records(callback, records)
 
-    def _arrive(self, src: str, dst: str, message: Message, transfer: float) -> None:
-        now = self.sim._now
-        free_at = self._downlink_free_at.get(dst, 0.0)
-        delivered = (free_at if free_at > now else now) + transfer
-        self._downlink_free_at[dst] = delivered
-        self.sim.schedule_call(delivered, self._deliver, (src, dst, message))
-
-    def _deliver(self, src: str, dst: str, message: Message) -> None:
-        if self._n_disconnected and self._disconnected.get(dst):
+    def _deliver_copies(
+        self, time: float, src: str, message: Message, target, transfer: float
+    ) -> None:
+        """Deliver a record's copy — or, for a tie group, each copy in
+        order — to its handler."""
+        if target.__class__ is list:
+            # Disconnect state is re-read per copy: a handler earlier in
+            # the group may disconnect a later recipient, and the per-copy
+            # loop this path must match would drop that copy at its own
+            # delivery event.
+            for dst in target:
+                self._deliver_copies(time, src, message, dst, transfer)
+            return
+        if self._n_disconnected and self._disconnected.get(target):
             self.dropped_messages += 1
             return
-        handler = self._handlers.get(dst)
+        handler = self._handlers.get(target)
         if handler is None:
             self.dropped_messages += 1
             return
         handler(src, message)
+
+    def _arrive_copies(
+        self, time: float, src: str, message: Message, target, transfer: float
+    ) -> None:
+        """Phase two of a large copy: grant receiver downlinks.
+
+        Runs at the copies' (shared or singleton) physical arrival time and
+        reserves each destination's downlink in destination order — exactly
+        the reservations one arrival event per copy would make, since tied
+        arrivals carry consecutive sequence numbers. Deliveries are then
+        scheduled as single-phase records, re-grouping delivery-time ties.
+        """
+        downlink_free_at = self._downlink_free_at
+        records: list = []
+        previous_time = -1.0
+        previous_rec: Optional[list] = None
+        for dst in target if target.__class__ is list else (target,):
+            free_at = downlink_free_at.get(dst, 0.0)
+            delivered = (free_at if free_at > time else time) + transfer
+            downlink_free_at[dst] = delivered
+            if delivered == previous_time:
+                group = previous_rec[3]
+                if group.__class__ is list:
+                    group.append(dst)
+                else:
+                    previous_rec[3] = [group, dst]
+                continue
+            previous_rec = [delivered, src, message, dst, transfer]
+            records.append(previous_rec)
+            previous_time = delivered
+        self.sim.schedule_records(self._deliver_copies, records)

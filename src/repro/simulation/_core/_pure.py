@@ -48,10 +48,11 @@ allocates no new lists. When lazily cancelled entries exceed half the heap
 component), the heap is compacted in one pass to bound memory in long runs.
 
 The entry slots are deliberately typed ``Any``: the determinism contract
-pins the exact heap entry shape (interpreted friend code in
-:mod:`repro.net.network` builds and pushes entries itself), so the compiled
-twin keeps the same boxed lists and wins on dispatch, attribute traffic and
-integer bookkeeping rather than on unboxed entry fields.
+pins the exact heap entry shape, so the compiled twin keeps the same boxed
+lists and wins on dispatch, attribute traffic and integer bookkeeping
+rather than on unboxed entry fields. Callers outside the engine schedule
+only through the public entry points (:meth:`Simulator.schedule_call`,
+:meth:`Simulator.schedule_records`).
 """
 
 from __future__ import annotations

@@ -6,6 +6,7 @@ from repro.experiments.builders import build_network
 from repro.experiments.conflicts import ConflictExperimentConfig, run_conflict_experiment
 from repro.faults.injectors import CrashSchedule, SilentPeerFault
 from repro.gossip.config import EnhancedGossipConfig, OriginalGossipConfig
+from repro.gossip.messages import BlockPush, PushDigest, PushRequest
 
 from tests.conftest import make_transactions
 
@@ -99,19 +100,15 @@ def test_gossip_stays_within_organization():
         n_peers=10, gossip=EnhancedGossipConfig.paper_f4(), organizations=2, seed=6
     )
     org_of = {name: org for org, members in net.org_members.items() for name in members}
-    violations = []
+    copies = []
 
-    original_send = net.network.send
+    def observe(src, dst, message):
+        # The drop-filter seam sees every copy before it is recorded;
+        # returning False keeps it.
+        copies.append((src, dst, message))
+        return False
 
-    def checked_send(src, dst, message):
-        from repro.gossip.messages import BlockPush, PushDigest, PushRequest
-
-        if isinstance(message, (BlockPush, PushDigest, PushRequest)):
-            if src in org_of and dst in org_of and org_of[src] != org_of[dst]:
-                violations.append((src, dst, message.kind))
-        original_send(src, dst, message)
-
-    net.network.send = checked_send
+    net.network.set_drop_filter(observe)
     net.start()
     net.orderer.emit_block(make_transactions(2))
     net.run_until(
@@ -119,6 +116,13 @@ def test_gossip_stays_within_organization():
         step=1.0,
         max_time=30.0,
     )
+    pushes = [c for c in copies if isinstance(c[2], (BlockPush, PushDigest, PushRequest))]
+    assert pushes  # the observer saw the fanout copies
+    violations = [
+        (src, dst, message.kind)
+        for src, dst, message in pushes
+        if src in org_of and dst in org_of and org_of[src] != org_of[dst]
+    ]
     assert violations == []
 
 

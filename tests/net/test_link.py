@@ -57,6 +57,40 @@ def test_codel_validation():
         CoDelConfig(ramp=0.5)
 
 
+def _network_with_bandwidth(bandwidth):
+    from repro.net.network import Network, NetworkConfig
+    from repro.simulation.engine import Simulator
+    from repro.simulation.random import RandomStreams
+
+    return Network(Simulator(), RandomStreams(1), NetworkConfig(bandwidth=bandwidth))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: CoDelConfig(target=math.nan),
+        lambda: CoDelConfig(interval=math.nan),
+        lambda: CoDelConfig(ramp=math.nan),
+        lambda: LinkModel(bandwidth=math.nan),
+        lambda: LinkModel(queue_bytes=math.nan),
+        lambda: _network_with_bandwidth(math.nan),
+    ],
+    ids=["codel-target", "codel-interval", "codel-ramp", "link-bandwidth", "link-queue", "nic-bandwidth"],
+)
+def test_nan_parameters_rejected(build):
+    """A NaN slips through ``<= 0`` checks and would silently poison every
+    later comparison; it must be rejected at construction."""
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_infinite_parameters_stay_legal():
+    """Infinity keeps meaning "no-op": no AQM, no bottleneck, no bound."""
+    CoDelConfig(target=math.inf, interval=math.inf, ramp=math.inf)
+    assert LinkModel(bandwidth=math.inf, queue_bytes=math.inf).is_noop
+    _network_with_bandwidth(math.inf)
+
+
 def test_finite_link_is_not_noop_and_derives_times():
     link = LinkModel(bandwidth=1_000_000.0, queue_bytes=500_000.0)
     assert not link.is_noop

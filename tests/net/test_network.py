@@ -410,27 +410,6 @@ def test_multicast_large_copies_take_downlink_queue_per_destination(sim):
     assert times["c"] == pytest.approx(0.030)
 
 
-def test_multicast_wrapped_send_observes_fanout(sim):
-    """Instrumentation contract: wrapping ``send`` by assignment must see
-    every multicast copy (integration tests rely on this)."""
-    network = make_network(sim)
-    register_sink(network, "a")
-    inbox_b = register_sink(network, "b")
-    inbox_c = register_sink(network, "c")
-    observed = []
-    original_send = network.send
-
-    def wrapped(src, dst, message):
-        observed.append((src, dst))
-        original_send(src, dst, message)
-
-    network.send = wrapped
-    network.multicast("a", ["b", "c"], RawMessage(10))
-    sim.run()
-    assert observed == [("a", "b"), ("a", "c")]
-    assert len(inbox_b) == len(inbox_c) == 1
-
-
 def test_multicast_empty_and_single_destination(sim):
     network = make_network(sim)
     register_sink(network, "a")

@@ -136,44 +136,38 @@ def test_measured_latency_unknown_location_uses_default():
 
 
 def test_network_config_defaults_to_lan():
-    assert isinstance(NetworkConfig().latency_model, LanLatency)
+    assert isinstance(NetworkConfig().resolved_latency, LanLatency)
 
 
 def test_network_config_resolves_spec():
     config = NetworkConfig(latency=LatencySpec.of("constant", delay=0.004))
-    assert isinstance(config.latency_model, ConstantLatency)
+    assert isinstance(config.resolved_latency, ConstantLatency)
 
 
 def test_network_config_accepts_model_instance():
     model = ConstantLatency(0.004)
-    assert NetworkConfig(latency=model).latency_model is model
+    assert NetworkConfig(latency=model).resolved_latency is model
 
 
-def test_network_config_legacy_keyword_warns_once():
-    import repro.net.network as network_module
-
-    network_module._warned_latency_model = False
-    with pytest.warns(DeprecationWarning, match="latency_model"):
-        config = NetworkConfig(latency_model=ConstantLatency(0.004))
-    assert isinstance(config.latency_model, ConstantLatency)
-    # one warning per process: the second construction stays silent
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
+def test_network_config_rejects_legacy_latency_model_keyword():
+    """The one-release ``latency_model=`` alias has expired, and the
+    resolved model is not a constructor argument either."""
+    with pytest.raises(TypeError):
         NetworkConfig(latency_model=ConstantLatency(0.004))
+    with pytest.raises(TypeError):
+        NetworkConfig(resolved_latency=ConstantLatency(0.004))
 
 
 def test_network_config_replace_preserves_resolved_model():
-    """dataclasses.replace round-trips the already-resolved model without
-    re-resolution or a deprecation warning (the builders do this when
-    merging region placements)."""
+    """dataclasses.replace keeps a model instance and re-resolves a spec
+    into an equivalent fresh model (the builders replace the config when
+    merging region placements, then assign regions to the copy's model)."""
     import dataclasses
-    import warnings
 
+    model = ConstantLatency(0.004)
+    derived = dataclasses.replace(NetworkConfig(latency=model), regions={"n0": "eu"})
+    assert derived.resolved_latency is model
     config = NetworkConfig(latency=LatencySpec.of("lan"))
-    model = config.latency_model
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        derived = dataclasses.replace(config, regions={"n0": "eu"})
-    assert derived.latency_model is model
+    derived = dataclasses.replace(config, regions={"n0": "eu"})
+    assert derived.latency == config.latency
+    assert derived.resolved_latency.spec() == config.resolved_latency.spec()
